@@ -317,6 +317,11 @@ class Journal:
         self.by_key: Dict[str, int] = {}
         self.frozen_specs: Dict[int, object] = {}
         self.open_report = OpenReport()
+        # running counts over self.entries, updated at every mutation,
+        # so the per-settle auto-compaction check and the gauges stay
+        # O(1) however many keyed entries the journal retains
+        self._n_settled = 0
+        self._n_droppable = 0
 
         # journal.* metrics (docs/observability.md, "Journal counters")
         if metrics is None:
@@ -333,8 +338,7 @@ class Journal:
         self._m_errors = metrics.counter("journal.errors")
         metrics.register_callback("journal.segments", self._num_segments)
         metrics.register_callback(
-            "journal.unsettled",
-            lambda: sum(1 for e in self.entries.values() if not e.is_settled),
+            "journal.unsettled", lambda: len(self.entries) - self._n_settled
         )
 
     # -- introspection -------------------------------------------------
@@ -352,11 +356,10 @@ class Journal:
         return sum(1 for n in os.listdir(self.path) if segment_index(n) is not None)
 
     def counts(self) -> Dict[str, int]:
-        settled = sum(1 for e in self.entries.values() if e.is_settled)
         return {
             "entries": len(self.entries),
-            "settled": settled,
-            "unsettled": len(self.entries) - settled,
+            "settled": self._n_settled,
+            "unsettled": len(self.entries) - self._n_settled,
             "frozen": len(self.frozen_specs),
         }
 
@@ -507,12 +510,12 @@ class Journal:
                     f"journal corrupt (duplicate settle for jid {jid}) in "
                     f"segment {segment!r} at byte {offset}",
                 )
-            entry.settled = {
+            self._settle(entry, {
                 k: rec[k]
                 for k in ("outcome", "passes", "error", "reason", "wall_s",
                           "replans", "wid")
                 if k in rec
-            }
+            })
             return jid
         if kind == "frozen":
             self.frozen_specs[rec["fid"]] = rec["spec"]
@@ -629,8 +632,14 @@ class Journal:
                 "wid": wid,
             }
             self._append({"kind": "settled", "jid": jid, **fields})
-            entry.settled = fields
-        self._maybe_compact()
+            self._settle(entry, fields)
+        try:
+            self._maybe_compact()
+        except JournalWriteError:
+            # the settled record is already durable; the failed pass
+            # was rolled back onto the old generation and counted in
+            # journal.errors, and the next settle retries it
+            pass
 
     def append_frozen(self, fid: int, spec: object) -> None:
         """Journal one frozen topology so recovery can re-ship it."""
@@ -680,16 +689,12 @@ class Journal:
             raise JournalWriteError("short_write", segment=seg)
         if self.fsync_policy == "always":
             try:
-                self._os.fsync(self._fd)
-            except OSError as exc:
+                self._sync("fsync")
+            except JournalWriteError:
                 # the bytes may or may not be durable: roll back so the
                 # record is *definitely not* committed rather than maybe
                 self._rollback(offset)
-                self._m_errors.inc()
-                raise JournalWriteError(
-                    "fsync", segment=seg, errno_code=exc.errno or 0
-                ) from exc
-            self._m_fsyncs.inc()
+                raise
         self._seg_size += len(frame)
         self._next_seq += 1
         self._m_appends.inc()
@@ -713,17 +718,7 @@ class Journal:
             self._rotate_locked()
 
     def _rotate_locked(self) -> None:
-        if self.fsync_policy != "never":
-            try:
-                self._os.fsync(self._fd)
-                self._m_fsyncs.inc()
-            except OSError as exc:
-                self._m_errors.inc()
-                raise JournalWriteError(
-                    "rotate",
-                    segment=segment_name(self._seg_index),
-                    errno_code=exc.errno or 0,
-                ) from exc
+        self._sync("rotate")
         self._os.close(self._fd)
         self._fd = None
         self._new_segment(self._seg_index + 1, compact=False)
@@ -751,14 +746,34 @@ class Journal:
             not entry.key or not self.compact_retain_keyed
         )
 
+    def _settle(self, entry: JournalEntry, fields: dict) -> None:
+        """Record *entry*'s settlement in memory and in the counts."""
+        entry.settled = fields
+        self._n_settled += 1
+        if self._droppable(entry):
+            self._n_droppable += 1
+
+    def _sync(self, reason: str) -> None:
+        """fsync the open segment (policy permitting); a failure is
+        counted and raised as a structured :class:`JournalWriteError`."""
+        if self.fsync_policy == "never":
+            return
+        try:
+            self._os.fsync(self._fd)
+        except OSError as exc:
+            self._m_errors.inc()
+            raise JournalWriteError(
+                reason,
+                segment=segment_name(self._seg_index),
+                errno_code=exc.errno or 0,
+            ) from exc
+        self._m_fsyncs.inc()
+
     def _maybe_compact(self) -> None:
         if not self.auto_compact:
             return
         with self._lock:
-            if not self._open:
-                return
-            droppable = sum(1 for e in self.entries.values() if self._droppable(e))
-            if droppable < self.compact_min_settled:
+            if not self._open or self._n_droppable < self.compact_min_settled:
                 return
         self.compact()
 
@@ -774,10 +789,11 @@ class Journal:
         live record is on disk and fsync'd.  Until that rename the old
         generation is the only one open() can see, so a crash at any
         point mid-compaction loses nothing; open() removes the stale
-        ``*.tmp`` file.  A journal *write* failure mid-compaction
-        rolls the whole compaction back (the temporary file is
-        unlinked, appends resume on the old generation) and re-raises
-        the structured :class:`~repro.errors.JournalWriteError`."""
+        ``*.tmp`` file.  Any device fault during the pass — a failed
+        write, fsync, create or rename — rolls the whole compaction
+        back (the temporary file is unlinked, appends resume on the old
+        generation, which stays open and untouched) and raises a
+        structured :class:`~repro.errors.JournalWriteError`."""
         with self._lock:
             self._check_writable()
             old = [
@@ -785,25 +801,31 @@ class Journal:
                 for n in sorted(os.listdir(self.path))
                 if segment_index(n) is not None
             ]
-            if self.fsync_policy != "never":
-                self._os.fsync(self._fd)
-                self._m_fsyncs.inc()
-            self._os.close(self._fd)
-            self._fd = None
-            prev_index, prev_size = self._seg_index, self._seg_size
-            dropped = sum(1 for e in self.entries.values() if self._droppable(e))
-            keep = sorted(
-                (e for e in self.entries.values() if not self._droppable(e)),
-                key=lambda e: e.jid,
-            )
+            # seal the old generation; on failure it is still the
+            # open, untouched write head, so there is nothing to undo
+            self._sync("fsync")
+            prev_fd, prev_index, prev_size = self._fd, self._seg_index, self._seg_size
+            dropped = self._n_droppable
+            keep: List[JournalEntry] = []
+            drop: List[JournalEntry] = []
+            for entry in self.entries.values():  # jid order
+                (drop if self._droppable(entry) else keep).append(entry)
             index = prev_index + 1
             final_path = os.path.join(self.path, segment_name(index))
             tmp_path = final_path + TMP_SUFFIX
+            self._fd = None
             try:
                 self._compacting = True
-                self._fd = self._os.open(
-                    tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
-                )
+                try:
+                    self._fd = self._os.open(
+                        tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
+                    )
+                except OSError as exc:
+                    self._m_errors.inc()
+                    raise JournalWriteError(
+                        "write", segment=segment_name(index),
+                        errno_code=exc.errno or 0,
+                    ) from exc
                 self._seg_index = index
                 self._seg_size = 0
                 self._append(
@@ -819,9 +841,7 @@ class Journal:
                 for entry in keep:
                     if entry.is_settled:
                         self._append(entry.settled_record())
-                if self.fsync_policy != "never":
-                    self._os.fsync(self._fd)
-                    self._m_fsyncs.inc()
+                self._sync("fsync")
                 # the commit point: the complete, fsync'd compact
                 # segment becomes visible atomically
                 try:
@@ -834,37 +854,37 @@ class Journal:
                     ) from exc
             except JournalWriteError:
                 # roll the whole compaction back: remove the temporary
-                # segment and resume appends on the old generation,
-                # which was never touched
+                # segment and resume appends on the old generation
                 if self._fd is not None:
                     try:
                         self._os.close(self._fd)
                     except OSError:  # pragma: no cover - already gone
                         pass
-                    self._fd = None
                 try:
                     self._os.unlink(tmp_path)
                 except OSError:  # pragma: no cover - never created
                     pass
+                self._fd = prev_fd
                 self._seg_index, self._seg_size = prev_index, prev_size
-                self._fd = self._os.open(
-                    os.path.join(self.path, segment_name(prev_index)),
-                    os.O_WRONLY,
-                )
-                os.lseek(self._fd, prev_size, os.SEEK_SET)
                 raise
             finally:
                 self._compacting = False
+            try:
+                self._os.close(prev_fd)
+            except OSError:  # pragma: no cover - already gone
+                pass
             try:
                 self._os.fsync_dir(self.path)
             except OSError:  # pragma: no cover - exotic filesystems
                 pass
             # the compact generation is durable: drop the discarded
             # settled entries from memory and the old segments from disk
-            for jid in [j for j, e in self.entries.items() if self._droppable(e)]:
-                entry = self.entries.pop(jid)
+            for entry in drop:
+                del self.entries[entry.jid]
                 if entry.key:
                     self.by_key.pop(entry.key, None)
+            self._n_settled -= dropped
+            self._n_droppable = 0
             for name in old:
                 self._os.unlink(os.path.join(self.path, name))
             try:

@@ -63,8 +63,11 @@ submission reaches **exactly one** settlement.
 The architecture follows vLLM's ``MultiprocessingGPUExecutor`` /
 ``DistributedGPUExecutor`` split and StarPU's driver-per-device worker
 model: an asyncio front-end that fans control-plane messages out to
-per-device worker processes, with a result handler and worker monitor
-feeding completions back into the event loop.
+per-device worker processes, with a worker monitor task on the event
+loop.  Completions come back without a thread hop: every worker pipe
+is registered with ``loop.add_reader``, and each readiness callback
+does one non-blocking read, splits out the complete frames and
+dispatches them inline, in pipe (FIFO) order.
 
 Everything is observable through the ``gateway.*`` metrics cataloged
 in docs/observability.md: the PR 8 counters plus
@@ -77,7 +80,8 @@ from __future__ import annotations
 import asyncio
 import itertools
 import multiprocessing
-import threading
+import os
+import pickle
 import time
 import zlib
 from dataclasses import dataclass, field, replace
@@ -102,6 +106,8 @@ _HEARTBEAT_MISSES = 20
 #: default missed-heartbeat budget before a worker is considered
 #: *stalled* (alive but wedged) — must be < the death budget
 _STALL_MISSES = 4
+#: bytes taken from a worker pipe per readiness callback
+_READ_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -245,7 +251,8 @@ class _WorkerHandle:
         "wid",
         "proc",
         "conn",
-        "reader",
+        "fd",
+        "buf",
         "ready",
         "ready_event",
         "dead",
@@ -258,7 +265,10 @@ class _WorkerHandle:
         self.wid = wid
         self.proc = proc
         self.conn = conn
-        self.reader: Optional[threading.Thread] = None
+        #: pipe fd registered with the loop's reader (-1 once removed)
+        self.fd = conn.fileno()
+        #: bytes read but not yet a complete frame
+        self.buf = bytearray()
         self.ready = False
         self.ready_event = asyncio.Event()
         self.dead = False
@@ -453,13 +463,7 @@ class Gateway:
         proc.start()
         child_conn.close()
         handle = _WorkerHandle(wid, proc, parent_conn, self._loop)
-        handle.reader = threading.Thread(
-            target=self._read_loop,
-            args=(handle,),
-            name=f"{self.name}-reader{wid}",
-            daemon=True,
-        )
-        handle.reader.start()
+        self._loop.add_reader(handle.fd, self._on_readable, handle)
         return handle
 
     async def _wait_ready(self) -> None:
@@ -482,21 +486,47 @@ class Gateway:
         )
 
     # -- pipe plumbing -------------------------------------------------
-    def _read_loop(self, handle: _WorkerHandle) -> None:
-        """Reader thread: pump one worker's pipe into the event loop."""
-        while True:
-            try:
-                msg = handle.conn.recv()
-            except (EOFError, OSError):
-                break
-            try:
-                self._loop.call_soon_threadsafe(self._on_message, handle, msg)
-            except RuntimeError:  # loop closed during teardown
-                return
+    def _on_readable(self, handle: _WorkerHandle) -> None:
+        """Loop reader callback: one read of the worker's pipe (it is
+        readable, so the read cannot block), then dispatch every
+        complete frame inline; a partial frame waits in the buffer."""
         try:
-            self._loop.call_soon_threadsafe(self._on_pipe_closed, handle)
-        except RuntimeError:
-            pass
+            data = os.read(handle.fd, _READ_CHUNK)
+        except OSError:
+            data = b""
+        if not data:  # EOF: the worker end is gone
+            self._unwatch(handle)
+            self._on_pipe_closed(handle)
+            return
+        handle.buf += data
+        try:
+            frames = m.split_frames(handle.buf)
+        except ValueError:
+            self._worker_died(handle, "protocol")
+            return
+        for payload in frames:
+            if handle.dead:
+                return
+            try:
+                msg = pickle.loads(payload)
+            except Exception:
+                self._worker_died(handle, "protocol")
+                return
+            try:
+                self._on_message(handle, msg)
+            except Exception as exc:
+                # one bad message must not swallow the rest of the read
+                self._loop.call_exception_handler({
+                    "message": f"{self.name}: error dispatching {msg!r}",
+                    "exception": exc,
+                })
+
+    def _unwatch(self, handle: _WorkerHandle) -> None:
+        """Stop reading *handle*'s pipe; must precede ``conn.close()``
+        (a closed fd number can be reused by a replacement's pipe)."""
+        if handle.fd >= 0:
+            self._loop.remove_reader(handle.fd)
+            handle.fd = -1
 
     def _send(self, handle: _WorkerHandle, msg) -> None:
         try:
@@ -739,6 +769,7 @@ class Gateway:
         handle.dead = True
         self._m_deaths.inc()
         self._health[handle.wid].mark_dead()
+        self._unwatch(handle)
         try:
             handle.conn.close()
         except OSError:  # pragma: no cover
@@ -1449,6 +1480,7 @@ class Gateway:
                 if handle is None:
                     continue
                 handle.dead = True
+                self._unwatch(handle)
                 try:
                     handle.conn.close()
                 except OSError:  # pragma: no cover

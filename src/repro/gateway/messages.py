@@ -38,10 +38,15 @@ Every request that expects a reply carries the gateway-chosen id the
 reply echoes; the worker never invents ids.  Replies may interleave
 arbitrarily with :class:`Accepted`/:class:`Settled` traffic — the
 stream is FIFO per worker but unordered across workers.
+
+The gateway reads its end of each pipe on the event loop rather than
+through ``Connection.recv``; :func:`split_frames` decodes the
+connection's length-prefixed framing from the raw bytes.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -223,9 +228,44 @@ class EventMsg:
     fields: Dict = field(default_factory=dict)
 
 
+# ---------------------------------------------------------------------------
+# framing
+# ---------------------------------------------------------------------------
+#: ``multiprocessing.Connection`` frame header: a signed payload length,
+#: or -1 followed by an unsigned 64-bit length for very large frames
+_LEN = struct.Struct("!i")
+_LEN_LARGE = struct.Struct("!Q")
+
+
+def split_frames(buf: bytearray) -> List[bytes]:
+    """Remove every complete ``Connection`` frame from the head of
+    *buf* and return their payloads in order; a trailing partial frame
+    stays in *buf* for the next read.  Raises :class:`ValueError` on a
+    length prefix no ``Connection`` writes."""
+    frames: List[bytes] = []
+    off, n = 0, len(buf)
+    while n - off >= _LEN.size:
+        (size,) = _LEN.unpack_from(buf, off)
+        start = off + _LEN.size
+        if size == -1:
+            if n - start < _LEN_LARGE.size:
+                break
+            (size,) = _LEN_LARGE.unpack_from(buf, start)
+            start += _LEN_LARGE.size
+        elif size < 0:
+            raise ValueError(f"corrupt frame length {size}")
+        if n - start < size:
+            break
+        frames.append(bytes(buf[start : start + size]))
+        off = start + size
+    del buf[:off]
+    return frames
+
+
 __all__ = [
     "PROTOCOL_VERSION",
     "OUTCOMES",
+    "split_frames",
     "Submit",
     "Freeze",
     "Cancel",

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.durability import (
     FaultyOs,
@@ -399,6 +402,206 @@ class TestFaultInjection:
         j2.open()
         assert j2.counts()["entries"] == 1
         j2.close()
+
+
+def _mixed_state(journal: Journal) -> None:
+    """Frozen spec, keyed settled/unsettled, unkeyed settled/unsettled."""
+    journal.append_frozen(1, {"w": 2})
+    _fill(journal, 4, settle=2)
+    for _ in range(3):
+        jid = journal.append_accepted(target="spec")
+        journal.append_settled(jid, outcome="completed")
+    journal.append_accepted(target="spec")
+
+
+def _counter(journal: Journal, name: str):
+    return journal.metrics.snapshot()[name]
+
+
+class TestCompactionFaults:
+    def test_fsync_fault_at_every_fsync_of_a_pass_rolls_back(self, tmp_path):
+        # how many fsyncs one compaction pass of this state makes
+        shim = FaultyOs()
+        twin = Journal(
+            str(tmp_path / "twin"), os_impl=shim, auto_compact=False
+        )
+        twin.open()
+        _mixed_state(twin)
+        before = shim.fsyncs
+        assert twin.compact() == 3
+        per_pass = shim.fsyncs - before
+        twin.close()
+        assert per_pass >= 3  # seal + header + commit, at least
+
+        for k in range(1, per_pass + 1):
+            path = str(tmp_path / f"f{k}")
+            shim = FaultyOs()
+            j = Journal(path, os_impl=shim, auto_compact=False)
+            j.open()
+            _mixed_state(j)
+            counts = j.counts()
+            shim.fail_fsync_at = shim.fsyncs + k
+            with pytest.raises(JournalWriteError) as ei:
+                j.compact()
+            assert ei.value.reason == "fsync"
+            assert shim.injected == ["fsync"]
+            assert _counter(j, "journal.errors") == 1
+            assert _counter(j, "journal.compactions") == 0
+            assert j.counts() == counts
+            assert not any(n.endswith(".tmp") for n in os.listdir(path))
+            # appends land on the old generation and survive reopen
+            jid = j.append_accepted(key="after", target="spec")
+            j.append_settled(jid, outcome="completed")
+            j.close()
+
+            j2 = Journal(path)
+            j2.open()
+            assert j2.get(j2.lookup("after")).settled["outcome"] == "completed"
+            assert j2.counts() == {
+                "entries": counts["entries"] + 1,
+                "settled": counts["settled"] + 1,
+                "unsettled": counts["unsettled"],
+                "frozen": 1,
+            }
+            assert j2.compact() == 3
+            j2.close()
+            assert fsck(path).clean
+
+    def test_auto_compaction_fault_is_counted_not_raised(self, tmp_path):
+        # settle 1 fsyncs its own record, then auto-compaction makes
+        # three more: seal, compact header, commit
+        for k in (2, 3, 4):
+            path = str(tmp_path / f"a{k}")
+            shim = FaultyOs()
+            j = Journal(path, os_impl=shim, compact_min_settled=2)
+            j.open()
+            a = j.append_accepted(target="spec")
+            b = j.append_accepted(target="spec")
+            j.append_settled(a, outcome="completed")
+            shim.fail_fsync_at = shim.fsyncs + k
+            j.append_settled(b, outcome="completed")  # must not raise
+            assert shim.injected == ["fsync"]
+            assert _counter(j, "journal.errors") == 1
+            assert _counter(j, "journal.compactions") == 0
+            assert j.counts()["settled"] == 2
+            # the next settle retries the pass on the healthy device
+            c = j.append_accepted(target="spec")
+            j.append_settled(c, outcome="completed")
+            assert _counter(j, "journal.compactions") == 1
+            assert j.counts()["entries"] == 0
+            j.close()
+
+            j2 = Journal(path)
+            j2.open()
+            assert j2.counts()["entries"] == 0
+            j2.close()
+            assert fsck(path).clean
+
+
+_MIN_SETTLED = 3
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("accept"), st.booleans()),  # keyed?
+        st.tuples(st.just("settle"), st.integers(0, 7)),  # which unsettled
+        st.tuples(st.just("compact"), st.just(0)),
+        st.tuples(st.just("reopen"), st.just(0)),
+        st.tuples(
+            st.sampled_from(["fail_write_at", "fail_fsync_at"]),
+            st.integers(1, 4),  # how many calls ahead
+        ),
+    ),
+    max_size=40,
+)
+
+
+def _recount(j: Journal) -> None:
+    """The running counts must equal a full recount after every step."""
+    entries = list(j.entries.values())
+    settled = sum(1 for e in entries if e.is_settled)
+    assert j.counts() == {
+        "entries": len(entries),
+        "settled": settled,
+        "unsettled": len(entries) - settled,
+        "frozen": len(j.frozen_specs),
+    }
+    assert _counter(j, "journal.unsettled") == len(entries) - settled
+    assert j._n_droppable == sum(1 for e in entries if j._droppable(e))
+
+
+class TestCountsProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(ops=_OPS, retain=st.booleans())
+    def test_counts_match_recount(self, ops, retain):
+        with tempfile.TemporaryDirectory() as path:
+            shim = FaultyOs()
+
+            def opened() -> Journal:
+                j = Journal(
+                    path, os_impl=shim, compact_min_settled=_MIN_SETTLED,
+                    compact_retain_keyed=retain,
+                )
+                return j.open()
+
+            j = opened()
+            keys = 0
+            for op, arg in ops:
+                if op == "accept":
+                    keys += 1
+                    try:
+                        j.append_accepted(
+                            key=f"k{keys}" if arg else "", target="spec"
+                        )
+                    except JournalWriteError:
+                        pass
+                elif op == "settle":
+                    open_jids = [
+                        e.jid for e in j.entries.values() if not e.is_settled
+                    ]
+                    if not open_jids:
+                        continue
+                    jid = open_jids[arg % len(open_jids)]
+                    drops = not j.get(jid).key or not retain
+                    d0 = j._n_droppable
+                    c0 = _counter(j, "journal.compactions")
+                    e0 = _counter(j, "journal.errors")
+                    try:
+                        j.append_settled(jid, outcome="completed")
+                    except JournalWriteError:
+                        assert not j.get(jid).is_settled
+                        continue
+                    d1 = d0 + drops
+                    c1 = _counter(j, "journal.compactions")
+                    if d1 < _MIN_SETTLED:
+                        assert c1 == c0 and j._n_droppable == d1
+                    elif c1 == c0:  # the auto-compaction pass faulted
+                        assert _counter(j, "journal.errors") > e0
+                        assert j._n_droppable == d1
+                    else:
+                        assert c1 == c0 + 1 and j._n_droppable == 0
+                elif op == "compact":
+                    d0 = j._n_droppable
+                    try:
+                        assert j.compact() == d0
+                        assert j._n_droppable == 0
+                    except JournalWriteError:
+                        assert j._n_droppable == d0
+                elif op == "reopen":
+                    state = {
+                        jid: (e.key, e.is_settled)
+                        for jid, e in j.entries.items()
+                    }
+                    j.close()
+                    j = opened()
+                    assert {
+                        jid: (e.key, e.is_settled)
+                        for jid, e in j.entries.items()
+                    } == state
+                else:  # arm a one-shot device fault a few calls ahead
+                    done = shim.writes if op == "fail_write_at" else shim.fsyncs
+                    setattr(shim, op, done + arg)
+                _recount(j)
+            j.close()
 
 
 class TestFsck:

@@ -12,8 +12,12 @@ process boundary.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
+import pickle
 import signal
+import struct
+import threading
 import time
 
 import pytest
@@ -26,6 +30,7 @@ from repro.gateway import (
     GeneratedSpec,
     WorkerConfig,
 )
+from repro.gateway import messages as m
 
 pytestmark = pytest.mark.gateway
 
@@ -237,6 +242,85 @@ class TestCancelAndMetrics:
                 hist = snap["gateway.round_trip_seconds"]
                 assert hist["count"] == 6
                 assert hist["sum"] > 0
+
+        _run(main())
+
+
+def _wire(msgs) -> bytes:
+    """The exact bytes a ``Connection`` writes for *msgs*, in order."""
+    reader, writer = multiprocessing.Pipe(duplex=True)
+
+    def send_all():
+        for msg in msgs:
+            writer.send(msg)
+        writer.close()
+
+    sender = threading.Thread(target=send_all)
+    sender.start()
+    chunks = []
+    while True:
+        chunk = os.read(reader.fileno(), 1 << 16)
+        if not chunk:
+            break
+        chunks.append(chunk)
+    sender.join()
+    reader.close()
+    return b"".join(chunks)
+
+
+def _feed(buf: bytearray, data: bytes) -> list:
+    buf += data
+    return [pickle.loads(p) for p in m.split_frames(buf)]
+
+
+class TestPipeFraming:
+    MSGS = [
+        m.Ready(wid=0, pid=1, protocol=m.PROTOCOL_VERSION),
+        m.Accepted(rid=1, wid=0),
+        m.Settled(rid=1, outcome="completed", passes=1, wall_s=0.25),
+        m.Pong(seq=3, wid=0, inflight=0),
+        m.EventMsg(rid=None, kind="degraded", fields={"why": "x" * 40}),
+    ]
+
+    def test_split_at_every_byte_boundary_keeps_fifo(self):
+        blob = _wire(self.MSGS)
+        # every frame in one read
+        buf = bytearray()
+        assert _feed(buf, blob) == self.MSGS and not buf
+        # the stream cut into two reads at every byte offset
+        for cut in range(len(blob) + 1):
+            buf = bytearray()
+            got = _feed(buf, blob[:cut]) + _feed(buf, blob[cut:])
+            assert got == self.MSGS, cut
+            assert not buf
+
+    def test_large_metrics_reply_reassembles_across_reads(self):
+        big = m.MetricsReply(
+            rid=9, wid=1, snapshot={f"k{i}": f"{i:064d}" for i in range(2048)}
+        )
+        blob = _wire([big, m.Pong(seq=4, wid=1, inflight=0)])
+        assert len(blob) > 2 * (1 << 16)
+        buf = bytearray()
+        got = []
+        for off in range(0, len(blob), 1 << 16):  # one loop read each
+            got += _feed(buf, blob[off : off + (1 << 16)])
+        assert got == [big, m.Pong(seq=4, wid=1, inflight=0)] and not buf
+        # the -1 + u64 header Connection uses for frames over 2 GiB
+        payload = pickle.dumps(big)
+        framed = struct.pack("!i", -1) + struct.pack("!Q", len(payload))
+        buf = bytearray()
+        assert _feed(buf, framed[:7]) == []
+        assert _feed(buf, framed[7:] + payload) == [big]
+        with pytest.raises(ValueError):
+            m.split_frames(bytearray(struct.pack("!i", -2)))
+
+    def test_no_reader_threads_after_start(self):
+        async def main():
+            async with Gateway(2, worker=_CONFIG, name="gwx") as gw:
+                names = [t.name for t in threading.enumerate()]
+                assert not [n for n in names if n.startswith("gwx-")], names
+                snaps = await gw.worker_metrics()
+                assert sorted(snaps) == [0, 1]
 
         _run(main())
 

@@ -98,6 +98,40 @@ class TestWriteThrough:
                 assert res.ok
         _run(main())
 
+    def test_auto_compaction_fsync_fault_resolves_every_submission(
+        self, tmp_path
+    ):
+        # the 4th settle auto-compacts (3 droppable before it); its pass
+        # fsyncs seal (+3), header (+4), frozen (+5) and commit (+6)
+        # after that submission's accept (+1) and settle (+2)
+        for k in (3, 6):
+            path = str(tmp_path / f"j{k}")
+            shim = FaultyOs()
+            journal = Journal(path, os_impl=shim, compact_min_settled=4)
+
+            async def main():
+                async with Gateway(2, worker=_CONFIG, journal=journal) as gw:
+                    fh = await gw.freeze(BurstSpec(width=2))
+                    for i in range(8):
+                        if i == 3:
+                            shim.fail_fsync_at = shim.fsyncs + k
+                        res = await asyncio.wait_for(gw.submit(fh).future, 30.0)
+                        assert res.ok
+                    assert shim.injected == ["fsync"]
+                    snap = journal.metrics.snapshot()
+                    assert snap["journal.errors"] == 1
+                    # the 5th settle retried the pass on the healthy device
+                    assert snap["journal.compactions"] == 1
+
+            _run(main())
+            reopened = Journal(path)
+            reopened.open()
+            assert reopened.counts() == {
+                "entries": 3, "settled": 3, "unsettled": 0, "frozen": 1
+            }
+            reopened.close()
+            assert fsck(path).clean
+
 
 class TestRecovery:
     def test_recover_resubmits_unsettled(self, tmp_path):
