@@ -29,6 +29,12 @@ deadlines, and device fault injection *through the replay path*, plus
 a clean follow-up replay proving the frozen graph survives a
 cancelled/expired submission.  Exposed via
 ``python -m repro check --replay`` (``--replay-smoke`` in CI).
+
+Fresh host-only submissions compile onto the same slot engine as the
+replays, so on host-only configs the fresh side would compare the slot
+engine with itself.  There the fresh side is the *per-node reference*
+instead: every task gets a generous timeout (:data:`REFERENCE_TIMEOUT_S`),
+which keeps the graph on the per-node engine.
 """
 
 from __future__ import annotations
@@ -60,6 +66,10 @@ _MODES = ("normal", "cancel", "deadline", "fault")
 #: deadline armed for deadline-mode scenarios; the gate holds the graph
 #: at the starting line well past this
 _DEADLINE_S = 0.05
+
+#: per-task timeout on the host-only reference side: far above any
+#: task's runtime, it only routes the graph to the per-node engine
+REFERENCE_TIMEOUT_S = 60.0
 
 
 @dataclass
@@ -173,6 +183,10 @@ def _run_differential(
 ) -> ReplayOutcome:
     gated = mode in ("cancel", "deadline")
     fresh = generate_graph(seed, num_gpus=gpus, gate=gated)
+    if gpus == 0:
+        # per-node reference side (see the module docstring)
+        for task in fresh.graph.tasks():
+            task.timeout(REFERENCE_TIMEOUT_S)
     frozen_gen = generate_graph(seed, num_gpus=gpus, gate=gated)
     frozen = frozen_gen.graph.freeze()
     outcome = ReplayOutcome(

@@ -223,21 +223,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     print("mutant self-test: validating a deliberately-buggy scheduler ...")
     selftest = run_mutant_selftest()
-    mutant = selftest.reports["mutant"]
-    reference = selftest.reports["reference"]
-    if selftest.caught:
-        print(f"  caught: {len(mutant.violations)} violation(s) flagged on the "
-              f"mutant, 0 on the reference executor")
-        for v in mutant.violations[:4]:
-            print(f"    {v}")
-    else:
+    if not selftest.caught:
         failures += 1
         print("  FAILED: the validator did not distinguish the buggy "
               "scheduler from the correct one")
-        print(f"    mutant: {len(mutant.violations)} violation(s), "
-              f"reference: {len(reference.violations)}")
-        for v in reference.violations[:4]:
-            print(f"    [reference] {v}")
+    for engine, reports in selftest.engines.items():
+        mutant, reference = reports["mutant"], reports["reference"]
+        if not mutant.ok and reference.ok:
+            print(f"  caught ({engine} engine): {len(mutant.violations)} "
+                  f"violation(s) flagged on the mutant, 0 on the reference "
+                  f"executor")
+            for v in mutant.violations[:4]:
+                print(f"    {v}")
+        else:
+            print(f"  {engine} engine: mutant: {len(mutant.violations)} "
+                  f"violation(s), reference: {len(reference.violations)}")
+            for v in reference.violations[:4]:
+                print(f"    [reference] {v}")
 
     if args.stress:
         configs = args.configs or None

@@ -6,9 +6,13 @@ Reproduces the runtime of paper §III-B/C:
   threads — no worker is dedicated to a GPU ("we do not dedicate a
   worker to manage a target GPU"); GPU work is dispatched by whichever
   worker picks up the task;
-- submitted graphs go through **device placement** (Algorithm 1), then
-  enter a **work-stealing** loop: each worker drains its local queue
-  and turns thief when empty, stealing from a random victim;
+- every submission is compiled into slot tables in one validating Kahn
+  pass (:class:`~repro.core.topology.SlotPlan`); host-only graphs with
+  no retry/timeout policy run on the **slot engine** over that plan,
+  everything else goes through **device placement** (Algorithm 1) and
+  the per-node engine; both feed one **work-stealing** loop: each
+  worker drains its local queue and turns thief when empty, stealing
+  from a random victim;
 - GPU tasks are invoked under an RAII :class:`ScopedDeviceContext`, on a
   **per-(worker, device) stream**, and complete asynchronously — the
   dispatching worker moves on immediately, and the stream callback
@@ -81,7 +85,7 @@ from repro.core.placement import (
     snapshot_assignment,
 )
 from repro.core.task import PullTask
-from repro.core.topology import FrozenTopology, ReplayTopology, Topology
+from repro.core.topology import FrozenTopology, ReplayTopology, SlotPlan, Topology
 from repro.core.wsq import PriorityOverflowQueue, WorkStealingQueue
 from repro.errors import (
     AdmissionRejectedError,
@@ -376,6 +380,9 @@ class Executor:
         self._m_replay_latency = self.metrics.histogram(
             "replay.latency_seconds"
         )
+        # fresh submissions compiled onto the slot engine (ephemeral
+        # plans; the replay.* family above stays frozen-only)
+        self._m_fresh_fast = self.metrics.counter("executor.fresh_fast_path")
         # hfsan counters (docs/analysis.md, "Sanitizer"); sharded
         # Counters — the finish cross-check may run on any thread
         self._m_sanitized = self.metrics.counter("sanitize.runs")
@@ -534,11 +541,16 @@ class Executor:
     ) -> Future:
         """Run *graph* once; non-blocking, returns a future.
 
+        A fresh *graph* is compiled (and so validated) on every
+        submission; a host-only one with no retry/timeout policy then
+        runs on the slot engine over that ephemeral plan, with no
+        placement pass (docs/runtime.md, "Submission pipeline").
+
         *graph* may be a :class:`~repro.core.topology.FrozenTopology`
         (from ``Heteroflow.freeze()``): the submission then replays the
-        compiled plan — no validation, no placement pass, admission
-        footprint from the frozen cache — and host-only graphs take a
-        slot-based fast path with no per-node allocation.  *bindings*
+        compiled plan — no compile, no placement pass, admission
+        footprint from the frozen cache — and host-only graphs take the
+        slot engine with no per-node allocation.  *bindings*
         (frozen submissions only) maps host-task names to replacement
         callables for this submission; the graph itself stays immutable
         (docs/runtime.md, "Freeze and replay").  Deadlines, priorities,
@@ -602,7 +614,8 @@ class Executor:
     ) -> Topology:
         """Build the submission topology: a slot-replay
         :class:`ReplayTopology` for frozen graphs, a plain
-        :class:`Topology` otherwise."""
+        :class:`Topology` otherwise (:meth:`_submit` compiles it and,
+        when eligible, attaches the ephemeral slot plan)."""
         if isinstance(graph, FrozenTopology):
             return ReplayTopology(graph, bindings=bindings, **kwargs)
         if bindings:
@@ -1002,8 +1015,16 @@ class Executor:
             return topology.future
         if topology.frozen is None:
             # frozen graphs validated at freeze() and cannot have
-            # changed since; fresh graphs re-validate every submission
-            graph.validate()
+            # changed since; fresh graphs compile (and so re-validate)
+            # every submission — the plan is never cached, so a mutated
+            # graph is always seen
+            plan = self._compile_plan(graph)
+            if (
+                plan.fast_capable
+                and topology.slot_eligible
+                and topology.sanitizer is None
+            ):
+                topology.attach_plan(plan)
         else:
             topology.t_submit = time.perf_counter()
         self._admit(topology)
@@ -1036,6 +1057,11 @@ class Executor:
         if start_now:
             self._start_topology(topology)
         return topology.future
+
+    def _compile_plan(self, graph: Heteroflow) -> SlotPlan:
+        """Compile a fresh submission's ephemeral slot plan; raises what
+        :meth:`Heteroflow.validate` raises."""
+        return SlotPlan(graph)
 
     # ------------------------------------------------------------------
     # overload protection (docs/runtime.md, "Submission lifecycle")
@@ -1214,6 +1240,11 @@ class Executor:
         graph = topology.graph
         for obs in self._observers:
             obs.on_topology_begin(graph.name, len(graph.nodes))
+        if topology.fast:
+            # host-only ephemeral plan: no placement to compute
+            self._m_fresh_fast.inc()
+            self._dispatch_pass_fast(topology)
+            return
         try:
             alive = self.alive_gpus
             has_gpu_tasks = any(n.type.is_gpu for n in graph.nodes)
@@ -1312,9 +1343,9 @@ class Executor:
     def _dispatch_pass(self, topology: Topology) -> None:
         if topology.frozen is not None:
             self._m_plan_reuses.inc()
-            if topology.fast:
-                self._dispatch_pass_fast(topology)
-                return
+        if topology.fast:
+            self._dispatch_pass_fast(topology)
+            return
         graph = topology.graph
         topology.begin_pass()
         for node in graph.nodes:
@@ -1323,15 +1354,15 @@ class Executor:
         for node in sources:
             self._schedule(topology, node)
 
-    def _dispatch_pass_fast(self, rtop: ReplayTopology) -> None:
+    def _dispatch_pass_fast(self, rtop: Topology) -> None:
         """Seed one fast-path pass: reset the preallocated slot joins
-        and enqueue the frozen source slots in chunks.  Chunking
+        and enqueue the plan's source slots in chunks.  Chunking
         amortizes queue and notifier traffic across many small tasks;
         :meth:`_invoke_fast` runs chains inline and spills excess
         ready slots back as stealable chunks."""
         rtop.begin_pass()
         rtop.reset_joins()
-        sources = rtop.frozen.source_slots
+        sources = rtop.plan.source_slots
         gen = rtop.gen
         wid = getattr(self._tls, "wid", None)
         notify = self._notifier.notify_one
@@ -1349,13 +1380,15 @@ class Executor:
 
     def _finalize_topology(self, topology: Topology) -> None:
         graph = topology.graph
-        # release pooled pull buffers and degraded-mode shadows
-        for node in graph.nodes:
-            if node.buffer is not None:
-                node.buffer.free()
-                node.buffer = None
-            node.pull_snapshot = None
-            node.host_shadow = None
+        if not topology.fast:
+            # release pooled pull buffers and degraded-mode shadows
+            # (slot-engine plans are host-only: nothing to release)
+            for node in graph.nodes:
+                if node.buffer is not None:
+                    node.buffer.free()
+                    node.buffer = None
+                node.pull_snapshot = None
+                node.host_shadow = None
         for obs in self._observers:
             obs.on_topology_end(graph.name, len(graph.nodes))
         if topology.frozen is not None:
@@ -1466,7 +1499,7 @@ class Executor:
     # ------------------------------------------------------------------
     def _invoke(self, wid: int, topology: Topology, node: Node, gen: int = 0) -> None:
         if node.__class__ is tuple:
-            # fast-path work item: a chunk of frozen slot indices
+            # slot-engine work item: a chunk of plan slot indices
             self._invoke_fast(wid, topology, node, gen)  # type: ignore[arg-type]
             return
         if gen != topology.gen:
@@ -1522,9 +1555,10 @@ class Executor:
             self._attempt_finished(attempt, exc)
 
     def _invoke_fast(
-        self, wid: int, rtop: ReplayTopology, slots: Tuple[int, ...], gen: int
+        self, wid: int, rtop: Topology, slots: Tuple[int, ...], gen: int
     ) -> None:
-        """Slot-based replay fast path (host-only frozen graphs).
+        """Slot engine (host-only plans: frozen replays and fresh
+        submissions compiled per run).
 
         Processes a chunk of ready slots with *inline continuation*:
         when a completed slot readies exactly one successor (the chain
@@ -1541,10 +1575,10 @@ class Executor:
         """
         if gen != rtop.gen:  # pragma: no cover - host-only: never bumps
             return
-        frozen = rtop.frozen
-        nodes = frozen.nodes
+        plan = rtop.plan
+        nodes = plan.nodes
         callables = rtop.callables
-        succ_slots = frozen.succ_slots
+        succ_slots = plan.succ_slots
         joins = rtop.joins
         lock = rtop.replay_lock
         observers = self._observers
@@ -1608,14 +1642,14 @@ class Executor:
                 return
 
     def _fast_task_failed(
-        self, rtop: ReplayTopology, slot: int, exc: BaseException
+        self, rtop: Topology, slot: int, exc: BaseException
     ) -> None:
         """Record a fast-path task failure (rare path, kept cold).
 
         Fast-path eligibility guarantees no retry policy is in play, so
         the raw exception fails the topology — the same terminal
         behavior the general path has without resilience."""
-        node = rtop.frozen.nodes[slot]
+        node = rtop.plan.nodes[slot]
         rtop.record_attempt(node.nid, exc)
         rtop.event(
             "task_failed",

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import io
 import itertools
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.core.node import Node, TaskType
 from repro.core.task import HostTask, KernelTask, PullTask, PushTask, Task, handle_for
-from repro.errors import CycleError, FrozenTopologyError, GraphError
+from repro.core.topology import FrozenTopology, SlotPlan, kahn_slots
+from repro.errors import FrozenTopologyError, GraphError
 from repro.utils.dot import DotWriter
 
 _graph_ids = itertools.count()
@@ -116,44 +116,15 @@ class Heteroflow:
     def topological_order(self) -> List[Node]:
         """Kahn topological order; raises :class:`CycleError` on cycles
         and :class:`GraphError` on edges escaping this graph."""
-        own = set(map(id, self._nodes))
-        indeg: Dict[int, int] = {}
-        for n in self._nodes:
-            indeg[id(n)] = len(n.dependents)
-            for s in n.successors:
-                if id(s) not in own:
-                    raise GraphError(
-                        f"task {n.name!r} precedes {s.name!r}, "
-                        f"which belongs to a different graph"
-                    )
-        ready = deque(n for n in self._nodes if indeg[id(n)] == 0)
-        order: List[Node] = []
-        while ready:
-            n = ready.popleft()
-            order.append(n)
-            for s in n.successors:
-                indeg[id(s)] -= 1
-                if indeg[id(s)] == 0:
-                    ready.append(s)
-        if len(order) != len(self._nodes):
-            stuck = [n.name for n in self._nodes if indeg[id(n)] > 0]
-            raise CycleError(stuck)
-        return order
+        return kahn_slots(self._nodes)[0]
 
     def validate(self) -> None:
-        """Check the graph is acyclic and every node has work bound."""
-        self.topological_order()
-        for n in self._nodes:
-            if n.type is TaskType.PLACEHOLDER:
-                raise GraphError(f"placeholder task {n.name!r} was never assigned work")
-            if n.type is TaskType.HOST and n.callable is None:
-                raise GraphError(f"host task {n.name!r} has no callable")
-            if n.type is TaskType.PULL and n.span is None:
-                raise GraphError(f"pull task {n.name!r} has no span")
-            if n.type is TaskType.PUSH and (n.source is None or n.span is None):
-                raise GraphError(f"push task {n.name!r} is incompletely bound")
-            if n.type is TaskType.KERNEL and n.kernel_fn is None:
-                raise GraphError(f"kernel task {n.name!r} has no kernel")
+        """Check the graph is acyclic and every node has work bound.
+
+        Runs the same one-pass compile a fresh submission and
+        :meth:`freeze` use (:class:`~repro.core.topology.SlotPlan`)
+        and discards the slot tables."""
+        SlotPlan(self)
 
     @property
     def has_gpu_tasks(self) -> bool:
@@ -185,8 +156,6 @@ class Heteroflow:
         """
         if self._frozen is not None:
             return self._frozen
-        from repro.core.topology import FrozenTopology
-
         frozen = FrozenTopology(self)
         self._frozen = frozen
         for n in self._nodes:

@@ -37,11 +37,13 @@ import threading
 from concurrent.futures import Future, InvalidStateError
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import GraphError
+from repro.core.node import TaskType
+from repro.errors import CycleError, GraphError
 from repro.resilience.policy import normalize_policy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.heteroflow import Heteroflow
+    from repro.core.node import Node
     from repro.core.placement import PlacementResult
     from repro.resilience.policy import ResiliencePolicy, RetryPolicy
 
@@ -123,7 +125,10 @@ class Topology:
         # -- freeze-and-replay (docs/runtime.md, "Freeze and replay") --
         #: the FrozenTopology behind this submission (None = fresh run)
         self.frozen: Optional["FrozenTopology"] = None
-        #: True when the slot-based replay fast path applies
+        #: slot tables the slot engine runs (the FrozenTopology, or an
+        #: ephemeral SlotPlan for a fresh submission); None = per-node
+        self.plan: Optional[SlotPlan] = None
+        #: True when the slot engine runs this submission
         self.fast = False
         #: per-submission host-callable overrides, nid-keyed (general
         #: path); None when no bindings were given
@@ -158,10 +163,33 @@ class Topology:
 
         return isinstance(self.error, CancelledError)
 
+    @property
+    def slot_eligible(self) -> bool:
+        """No run-level retry/timeout: with a fast-capable plan, the
+        submission may run on the slot engine."""
+        return self.retry_policy is None and self.timeout_s is None
+
+    def attach_plan(self, plan: "SlotPlan", callables: Optional[Tuple] = None) -> None:
+        """Run this submission on the slot engine over *plan*: per-slot
+        join counters (reset each pass), one lock covering successor
+        release + pass accounting, and the per-slot callable table
+        (*callables* overrides the plan's, e.g. for ``bindings=``)."""
+        self.plan = plan
+        self.callables: Tuple = plan.callables if callables is None else callables
+        self.joins: List[int] = list(plan.join_init)
+        self.replay_lock = threading.Lock()
+        self.fast = True
+
+    def reset_joins(self) -> None:
+        self.joins[:] = self.plan.join_init
+
     # -- pass accounting -------------------------------------------------
     def begin_pass(self) -> None:
         with self._lock:
-            self.pending = len(self.graph.nodes)
+            # a fresh graph may have been mutated since its plan was
+            # compiled; the plan is what this submission runs
+            plan = self.plan
+            self.pending = len(self.graph.nodes if plan is None else plan.nodes)
             self.attempts = {}
             self.attempt_log = {}
             self.done_nodes = set()
@@ -303,20 +331,162 @@ class Topology:
             return bool(self._recovery_devices) or self._recovering
 
 
+def _raise_first_unbound(nodes) -> None:
+    """Raise for the first node (creation order) with no work bound —
+    the messages ``Heteroflow.validate()`` has always raised."""
+    for n in nodes:
+        ty = n.type
+        if ty is TaskType.PLACEHOLDER:
+            raise GraphError(f"placeholder task {n.name!r} was never assigned work")
+        if ty is TaskType.HOST and n.callable is None:
+            raise GraphError(f"host task {n.name!r} has no callable")
+        if ty is TaskType.PULL and n.span is None:
+            raise GraphError(f"pull task {n.name!r} has no span")
+        if ty is TaskType.PUSH and (n.source is None or n.span is None):
+            raise GraphError(f"push task {n.name!r} is incompletely bound")
+        if ty is TaskType.KERNEL and n.kernel_fn is None:
+            raise GraphError(f"kernel task {n.name!r} has no kernel")
+
+
+def _foreign_edge_error(nodes) -> Optional[GraphError]:
+    """The error for the first edge (creation order) leaving *nodes*."""
+    own = set(map(id, nodes))
+    for n in nodes:
+        for s in n.successors:
+            if id(s) not in own:
+                return GraphError(
+                    f"task {n.name!r} precedes {s.name!r}, "
+                    f"which belongs to a different graph"
+                )
+    return None
+
+
+def kahn_slots(nodes: List["Node"]) -> Tuple[List["Node"], Dict[int, int]]:
+    """The one topological sort: Kahn's algorithm over *nodes*.
+
+    Returns the ready order and ``id(node) -> slot`` (the node's index
+    in that order).  Slots are assigned at enqueue time; with a FIFO
+    ready list that is also the pop order, and the source nodes take
+    slots ``0..k-1`` in creation order.  Raises :class:`GraphError` for
+    the first edge (creation order) escaping *nodes*, which takes
+    precedence over a cycle, and otherwise :class:`CycleError` naming
+    the stuck nodes.
+    """
+    indeg = {id(n): len(n.dependents) for n in nodes}
+    order = [n for n in nodes if not n.dependents]
+    slot_of = {id(n): s for s, n in enumerate(order)}
+    try:
+        # the ready list grows while it is walked: FIFO Kahn
+        for n in order:
+            for t in n.successors:
+                k = id(t)
+                d = indeg[k] - 1
+                indeg[k] = d
+                if d == 0:
+                    slot_of[k] = len(order)
+                    order.append(t)
+    except KeyError:
+        # a successor outside *nodes*: report the first such edge
+        raise _foreign_edge_error(nodes) from None
+    if len(order) != len(nodes):
+        err = _foreign_edge_error(nodes)
+        if err is not None:
+            raise err
+        raise CycleError([n.name for n in nodes if indeg[id(n)] > 0])
+    return order, slot_of
+
+
+class SlotPlan:
+    """Slot tables for one graph, compiled in a single validating pass.
+
+    The shared compile behind fresh submissions, :meth:`Heteroflow.freeze`
+    and :meth:`Heteroflow.validate`: :func:`kahn_slots` orders the
+    nodes, then one walk over that order emits each slot's successor
+    slots, join counter, and host callable while checking every node
+    has work bound.  Raises exactly what ``validate()`` always raised,
+    with the same precedence: foreign edge, then cycle, then the first
+    unbound node in creation order.
+
+    A fresh host-only submission runs on an *ephemeral* plan — compiled
+    per submission, never cached, the graph left mutable — through the
+    executor's slot engine (docs/runtime.md, "Submission pipeline").
+    :class:`FrozenTopology` is the persistent, immutable form.
+    """
+
+    def __init__(self, graph: "Heteroflow") -> None:
+        nodes = graph.nodes
+        order, slot_of = kahn_slots(nodes)
+        slot = slot_of.__getitem__
+        succ_slots: List[Tuple[int, ...]] = []
+        emit = succ_slots.append
+        no_succ: Tuple[int, ...] = ()
+        has_gpu = unbound = resilient = False
+        host, kernel = TaskType.HOST, TaskType.KERNEL
+        pull, push = TaskType.PULL, TaskType.PUSH
+        for n in order:
+            succ = n.successors
+            if not succ:
+                emit(no_succ)
+            elif len(succ) == 1:
+                emit((slot(id(succ[0])),))
+            else:
+                emit(tuple([slot(id(t)) for t in succ]))
+            ty = n.type
+            if ty is host:
+                if n.callable is None:
+                    unbound = True
+            else:
+                has_gpu = True
+                if ty is kernel:
+                    if n.kernel_fn is None:
+                        unbound = True
+                elif ty is pull:
+                    if n.span is None:
+                        unbound = True
+                elif ty is not push or n.source is None or n.span is None:
+                    unbound = True  # a placeholder, or a half-bound push
+            if n.retry_policy is not None or n.timeout_s is not None:
+                resilient = True
+        if unbound:
+            _raise_first_unbound(nodes)
+        self.graph = graph
+        #: slot -> node, in topological (ready) order
+        self.nodes: Tuple = tuple(order)
+        #: slot -> successor slots (tuple of ints)
+        self.succ_slots: Tuple[Tuple[int, ...], ...] = tuple(succ_slots)
+        #: slot -> initial join counter (number of dependents)
+        self.join_init: Tuple[int, ...] = tuple(
+            [len(n.dependents) for n in order]
+        )
+        #: slots with no dependents (run-ready at pass start): Kahn
+        #: enqueues every source first, so they lead the order
+        self.source_slots: Tuple[int, ...] = tuple(
+            range(self.join_init.count(0))
+        )
+        #: slot -> host callable (None for GPU slots)
+        self.callables: Tuple = tuple([n.callable for n in order])
+        self.has_gpu = has_gpu
+        #: slot-engine eligible: host-only with no per-task resilience
+        #: overrides (GPU slots and retry/timeout routing go through
+        #: the per-node engine)
+        self.fast_capable = not has_gpu and not resilient
+
+
 _frozen_ids = itertools.count()
 
 
-class FrozenTopology:
+class FrozenTopology(SlotPlan):
     """Immutable compiled form of a :class:`Heteroflow` graph.
 
-    Built by :meth:`Heteroflow.freeze`: one planning pass validates the
-    graph and lowers it to *slots* — a topological order where node
-    *s*'s successor and join-counter state are plain tuple lookups, no
-    per-node dict or lock traffic.  The executor keys its compiled-plan
-    cache (placement grouping, device assignment, buddy-rounded
-    footprint) on :attr:`fid`, so repeated ``run(frozen)`` submissions
-    replay without re-running Algorithm-1 placement or graph
-    validation (docs/runtime.md, "Freeze and replay").
+    Built by :meth:`Heteroflow.freeze`: the :class:`SlotPlan` compile
+    validates the graph and lowers it to *slots* — a topological order
+    where node *s*'s successor and join-counter state are plain tuple
+    lookups, no per-node dict or lock traffic.  The executor keys its
+    compiled-plan cache (placement grouping, device assignment,
+    buddy-rounded footprint) on :attr:`fid`, so repeated
+    ``run(frozen)`` submissions replay without re-running Algorithm-1
+    placement or graph validation (docs/runtime.md, "Freeze and
+    replay").
 
     The compiled state is shared by every replay and never mutated;
     per-submission state (join counters, callables patched by
@@ -326,39 +496,13 @@ class FrozenTopology:
     def __init__(self, graph: "Heteroflow") -> None:
         if graph.empty:
             raise GraphError(f"cannot freeze empty graph {graph.name!r}")
-        graph.validate()
-        order = graph.topological_order()
-        self.graph = graph
+        super().__init__(graph)
         #: plan-cache key: unique per freeze, stable across submissions
         self.fid = next(_frozen_ids)
-        #: slot -> node, in topological (ready) order
-        self.nodes: Tuple = tuple(order)
-        slot_of = {id(n): s for s, n in enumerate(order)}
-        #: slot -> successor slots (tuple of ints)
-        self.succ_slots: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(slot_of[id(s)] for s in n.successors) for n in order
-        )
-        #: slot -> initial join counter (number of dependents)
-        self.join_init: Tuple[int, ...] = tuple(
-            len(n.dependents) for n in order
-        )
-        #: slots with no dependents (run-ready at pass start)
-        self.source_slots: Tuple[int, ...] = tuple(
-            s for s, n in enumerate(order) if not n.dependents
-        )
-        #: slot -> host callable (None for GPU slots)
-        self.callables: Tuple = tuple(n.callable for n in order)
-        self.has_gpu = any(n.type.is_gpu for n in order)
-        #: slot-based fast path: host-only graphs with no per-task
-        #: resilience overrides (GPU slots and retry/timeout routing
-        #: go through the general per-node machinery)
-        self.fast_capable = not self.has_gpu and all(
-            n.retry_policy is None and n.timeout_s is None for n in order
-        )
         # bindings lookup: host-task name -> slot; duplicate names are
         # poisoned (-1) and rejected at bind time
         host_slots: Dict[str, int] = {}
-        for s, n in enumerate(order):
+        for s, n in enumerate(self.nodes):
             if n.callable is not None:
                 host_slots[n.name] = -1 if n.name in host_slots else s
         self._host_slots = host_slots
@@ -425,11 +569,9 @@ class ReplayTopology(Topology):
 
     Inherits the whole submission lifecycle from :class:`Topology`
     (graph FIFO, futures, cancel/deadline, admission release, drain and
-    shutdown stranding guarantees) and adds the preallocated slot state
-    the executor's fast path mutates: a per-slot join-counter array
-    reset from the frozen ``join_init`` each pass, one lock covering
-    successor release + pass accounting, and the (possibly
-    ``bindings``-patched) per-slot callable table.
+    shutdown stranding guarantees) and adds the frozen plan plus the
+    (possibly ``bindings``-patched) per-slot callable table; fast-path
+    eligible replays attach the frozen slots to the slot engine.
     """
 
     def __init__(
@@ -451,8 +593,11 @@ class ReplayTopology(Topology):
             deadline_s=deadline_s,
         )
         self.frozen = frozen
+        # share the frozen table unless bound: zero per-submission
+        # allocation on the common path
+        callables = frozen.callables
         if bindings:
-            callables = list(frozen.callables)
+            patched = list(callables)
             bound: Dict[int, Callable] = {}
             for name, fn in bindings.items():
                 slot = frozen._host_slots.get(name)
@@ -470,23 +615,9 @@ class ReplayTopology(Topology):
                     raise GraphError(
                         f"bindings: value for {name!r} is not callable"
                     )
-                callables[slot] = fn
+                patched[slot] = fn
                 bound[frozen.nodes[slot].nid] = fn
-            self.callables: Tuple = tuple(callables)
+            callables = tuple(patched)
             self.bound = bound
-        else:
-            # share the frozen table: zero per-submission allocation
-            self.callables = frozen.callables
-        #: per-slot join counters, reset from join_init each pass
-        self.joins: List[int] = list(frozen.join_init)
-        #: one lock per completion: successor release + pass accounting
-        self.replay_lock = threading.Lock()
-        #: slot fast path applies only without run-level resilience
-        self.fast = (
-            frozen.fast_capable
-            and self.retry_policy is None
-            and self.timeout_s is None
-        )
-
-    def reset_joins(self) -> None:
-        self.joins[:] = self.frozen.join_init
+        if frozen.fast_capable and self.slot_eligible:
+            self.attach_plan(frozen, callables)

@@ -61,6 +61,9 @@ class FsckReport:
     settled: int = 0
     frozen: int = 0
     unsettled: List[Tuple[int, str]] = field(default_factory=list)  # (jid, key)
+    #: the jid the next open() hands out: past every accepted jid and
+    #: the compact header's ``next_jid`` high-water mark
+    next_jid: int = 1
     corruptions: List[FsckFinding] = field(default_factory=list)
 
     @property
@@ -87,6 +90,7 @@ class FsckReport:
             "accepted": self.accepted,
             "settled": self.settled,
             "frozen": self.frozen,
+            "next_jid": self.next_jid,
             "unsettled": [list(u) for u in self.unsettled],
             "corruptions": [c.to_dict() for c in self.corruptions],
             "clean": self.clean,
@@ -106,6 +110,7 @@ class FsckReport:
             + (f" (+{self.torn_tail_bytes} torn tail)" if self.torn_tail_bytes else ""),
             f"  entries:  {self.accepted} accepted, {self.settled} settled, "
             f"{len(self.unsettled)} unsettled, {self.frozen} frozen",
+            f"  next jid: {self.next_jid}",
         ]
         if self.tmp_segments:
             lines.append(
@@ -205,6 +210,7 @@ def fsck(path: str) -> FsckReport:
                     entries[jid] = False
                     keys[jid] = rec.get("key", "")
                     report.accepted += 1
+                    report.next_jid = max(report.next_jid, jid + 1)
             elif kind == "settled":
                 jid = rec.get("jid")
                 if jid not in entries:
@@ -220,6 +226,8 @@ def fsck(path: str) -> FsckReport:
                     report.settled += 1
             elif kind == "frozen":
                 report.frozen += 1
+            elif kind == "segment_header":
+                report.next_jid = max(report.next_jid, rec.get("next_jid", 1))
 
     report.unsettled = sorted(
         (jid, keys.get(jid, "")) for jid, done in entries.items() if not done

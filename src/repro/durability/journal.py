@@ -19,7 +19,8 @@ The payload is a pickled dict carrying ``kind`` and a strictly
 increasing ``seq``.  Four record kinds exist:
 
 ==================  ==================================================
-``segment_header``  first record of every segment (index, compact flag)
+``segment_header``  first record of every segment (index, compact flag;
+                    a compact header also carries ``next_jid``)
 ``accepted``        one submission entered the gateway (jid, key, spec)
 ``settled``         terminal outcome of one jid — at most once per jid
 ``frozen``          a frozen topology's fid + spec (re-shipped on recover)
@@ -412,6 +413,10 @@ class Journal:
 
         max_seq = 0
         max_jid = 0
+        # jid high-water mark carried by a compact header: jids stay
+        # unique across reopen even when compaction dropped every entry
+        # (journals written before the field existed default to 1)
+        jid_floor = 1
         for pos, name in enumerate(names):
             final = pos == len(names) - 1
             spath = os.path.join(self.path, name)
@@ -440,11 +445,13 @@ class Journal:
                     raise JournalCorruptError("sequence", name, offset)
                 max_seq = seq
                 max_jid = max(max_jid, self._apply(rec, name, offset))
+                if rec.get("kind") == "segment_header":
+                    jid_floor = max(jid_floor, rec.get("next_jid", 1))
                 report.records += 1
             report.segments += 1
 
         self._next_seq = max_seq + 1
-        self._next_jid = max_jid + 1
+        self._next_jid = max(max_jid + 1, jid_floor)
         counts = self.counts()
         report.entries = counts["entries"]
         report.unsettled = counts["unsettled"]
@@ -829,7 +836,8 @@ class Journal:
                 self._seg_index = index
                 self._seg_size = 0
                 self._append(
-                    {"kind": "segment_header", "index": index, "compact": True}
+                    {"kind": "segment_header", "index": index, "compact": True,
+                     "next_jid": self._next_jid}
                 )
                 for fid in sorted(self.frozen_specs):
                     self._append(

@@ -246,6 +246,44 @@ class TestJournal:
         j2.close()
         assert fsck(path).clean
 
+    def test_jids_continue_after_compaction_drops_everything(self, tmp_path):
+        # the compact header carries the jid high-water mark: with every
+        # entry compacted away, a reopen must not restart jids at 1
+        path = str(tmp_path / "j")
+        j = Journal(path, fsync_policy="never", auto_compact=False)
+        j.open()
+        old = [j.append_accepted(target="spec") for _ in range(5)]
+        for jid in old:
+            j.append_settled(jid, outcome="completed")
+        assert j.compact() == 5
+        assert j.counts()["entries"] == 0
+        j.close()
+
+        report = fsck(path)
+        assert report.clean and report.drained
+        assert report.next_jid == 6
+        j2 = Journal(path)
+        j2.open()
+        assert j2.counts()["entries"] == 0
+        assert j2.append_accepted(target="spec") == max(old) + 1
+        j2.close()
+
+    def test_header_without_next_jid_still_opens(self, tmp_path):
+        # journals written before the compact header carried next_jid
+        path = tmp_path / "j"
+        path.mkdir()
+        (path / segment_name(1)).write_bytes(
+            encode_record({"kind": "segment_header", "index": 1,
+                           "compact": True, "seq": 1})
+            + encode_record({"kind": "accepted", "seq": 2, "jid": 3,
+                             "key": "", "target": "spec"})
+        )
+        assert fsck(str(path)).clean
+        j = Journal(str(path), fsync_policy="never")
+        j.open()
+        assert j.append_accepted(target="spec") == 4
+        j.close()
+
     def test_crash_mid_compaction_residue_is_harmless(self, tmp_path):
         # a crash between "start writing the compact segment" and the
         # commit rename leaves only a *.tmp file: the old generation is

@@ -15,6 +15,7 @@ import pytest
 from repro.cli import main
 from repro.check.validate import validate_schedule
 from repro.core import Executor, Heteroflow, TraceObserver
+from repro.core.executor import _FAST_CHUNK
 from repro.core.tracing import chrome_trace_events
 from repro.gpu.buddy import BuddyAllocator
 from repro.metrics import (
@@ -130,13 +131,28 @@ def _diamond():
     return hf
 
 
+def _per_node(hf):
+    """A generous per-task timeout keeps a host-only graph off the
+    slot engine, on the per-node engine."""
+    for task in hf.tasks():
+        task.timeout(60)
+    return hf
+
+
+def _wide(n=50):
+    hf = Heteroflow("wide")
+    for _ in range(n):
+        hf.host(lambda: None)
+    return hf
+
+
 class TestExecutorCounters:
     def test_single_worker_exact_counts(self):
         """One worker makes the pop accounting fully deterministic:
         the submitter pushes the single source to the shared queue, and
         every released successor lands on the worker's local queue."""
         with Executor(num_workers=1, num_gpus=0) as ex:
-            ex.run(_diamond()).result()
+            ex.run(_per_node(_diamond())).result()
             snap = ex.metrics.snapshot()
         assert snap["executor.tasks_executed"] == [4]
         assert snap["executor.tasks_flushed"] == [0]
@@ -150,11 +166,27 @@ class TestExecutorCounters:
         assert snap["executor.shared_queue_high_water"] == 1
         assert snap["executor.notify_count"] >= 1
 
+    def test_single_worker_exact_counts_slot_engine(self):
+        """The same diamond on the slot engine: the submitter pushes
+        one source chunk, and the worker runs every released slot
+        inline — no local queue traffic at all."""
+        with Executor(num_workers=1, num_gpus=0) as ex:
+            ex.run(_diamond()).result()
+            snap = ex.metrics.snapshot()
+        assert snap["executor.fresh_fast_path"] == 1
+        assert snap["executor.tasks_executed"] == [4]
+        assert snap["executor.tasks_flushed"] == [0]
+        assert snap["executor.shared_pops"] == [1]  # the source chunk
+        assert snap["executor.local_pops"] == [0]  # b, c, d ran inline
+        assert snap["executor.steals_attempted"] == [0]
+        assert snap["executor.steals_succeeded"] == [0]
+        assert snap["executor.queue_high_water"] == [0]
+        assert snap["executor.shared_queue_high_water"] == 1
+        assert snap["executor.notify_count"] >= 1
+
     def test_pop_conservation_multi_worker(self):
         """Every executed task was obtained by exactly one pop path."""
-        hf = Heteroflow("wide")
-        for _ in range(50):
-            hf.host(lambda: None)
+        hf = _per_node(_wide())
         with Executor(num_workers=3, num_gpus=0) as ex:
             ex.run(hf).result()
             ex.wait_for_all()
@@ -168,6 +200,22 @@ class TestExecutorCounters:
                 + snap["executor.shared_pops"][wid]
                 + snap["executor.steals_succeeded"][wid]
             )
+
+    def test_pop_conservation_slot_engine(self):
+        """On the slot engine one pop takes a whole chunk of sources:
+        50 independent tasks are exactly ceil(50 / chunk) pops."""
+        with Executor(num_workers=3, num_gpus=0) as ex:
+            ex.run(_wide()).result()
+            ex.wait_for_all()
+            snap = ex.metrics.snapshot()
+        assert sum(snap["executor.tasks_executed"]) == 50
+        pops = sum(
+            snap["executor.local_pops"][wid]
+            + snap["executor.shared_pops"][wid]
+            + snap["executor.steals_succeeded"][wid]
+            for wid in range(3)
+        )
+        assert pops == -(-50 // _FAST_CHUNK)
 
     def test_sleep_wakeup_pairing(self):
         with Executor(num_workers=2, num_gpus=0) as ex:
